@@ -228,7 +228,7 @@ func BenchmarkFig09ColorMap(b *testing.B) {
 // 7 of 9 programs slower, 0.15%-62%).
 func BenchmarkFig10SingleThread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunFig10(harness.Config{Scale: bench.Tiny})
+		rows, _, err := harness.RunFig10(harness.Config{Scale: bench.Tiny})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkFig11SelfPair(b *testing.B) {
 // at 2 threads; MolDyn dips at 4 on L1D misses).
 func BenchmarkFig12ThreadSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunFig12(harness.Config{Scale: bench.Tiny}, []int{1, 2, 4, 8, 16})
+		rows, _, err := harness.RunFig12(harness.Config{Scale: bench.Tiny}, []int{1, 2, 4, 8, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func BenchmarkFig12ThreadSweep(b *testing.B) {
 // static vs dynamic partitioning (DESIGN.md §9: the paper's proposed fix).
 func BenchmarkAblationPartition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunFig10(harness.Config{Scale: bench.Tiny})
+		rows, _, err := harness.RunFig10(harness.Config{Scale: bench.Tiny})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,12 @@
 //	javasmt -bench jack -ht -partition dynamic
 //	javasmt -bench compress -metrics m.json -trace t.json -sample 50000
 //	javasmt -bench db -ht -deadline 10m -cycle-budget 5000000000
+//	javasmt -bench MolDyn -threads 4 -cores 2 -contexts 2
+//
+// With -journal the run is journaled under a label naming every option
+// that changes its counters (machine, threads, partition, trace-cache
+// sharing), so -resume never replays one configuration's counters for
+// another.
 package main
 
 import (
@@ -36,6 +42,8 @@ func main() {
 		partition = flag.String("partition", "static", "resource partition: static|dynamic")
 		tcShared  = flag.Bool("tc-shared-tags", false, "ablation: share trace-cache lines across contexts")
 		noVerify  = flag.Bool("no-verify", false, "skip result verification against the Go mirror")
+		cores     = flag.Int("cores", 0, "machine geometry: physical cores (with -contexts; 0 = the classic -ht machine)")
+		contexts  = flag.Int("contexts", 0, "machine geometry: hardware contexts per core (with -cores)")
 	)
 	cf := cli.Register("javasmt", flag.CommandLine, cli.Options{})
 	flag.Parse()
@@ -49,17 +57,16 @@ func main() {
 	if !ok {
 		c.Usagef("unknown benchmark %q; use -list", *name)
 	}
+	geo := core.Geometry{Cores: *cores, ContextsPerCore: *contexts}
+	if (geo != core.Geometry{}) && (geo.Cores <= 0 || geo.ContextsPerCore <= 0) {
+		c.Usagef("-cores and -contexts must be given together as positive counts (got %v)", geo)
+	}
 	opts := harness.Options{
 		HT:           *ht,
-		Geometry:     c.Geometry,
+		Geometry:     geo,
 		Threads:      *threads,
-		Scale:        c.Scale,
 		Verify:       !*noVerify,
 		TCSharedTags: *tcShared,
-		Obs:          c.Obs,
-		Plan:         c.Plan,
-		SchedPolicy:  c.SchedPolicy,
-		SchedParams:  c.SchedParams(),
 	}
 	if *partition == "dynamic" {
 		opts.Partition = core.DynamicPartition
@@ -67,38 +74,20 @@ func main() {
 		c.Usagef("unknown partition %q", *partition)
 	}
 
-	j, err := c.OpenJournal(fmt.Sprintf("javasmt bench=%s threads=%d scale=%v ht=%v partition=%s",
-		b.Name, *threads, c.Scale, *ht, *partition))
-	if err != nil {
-		c.Fatal(err)
-	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
+	cfg := c.Campaign(harness.RunLabel(b, opts))
 	res, fail, err := harness.RunResilient(b, opts, cfg)
 	if err != nil {
 		c.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(cfg)
 	if fail != nil {
-		c.ExitFailures([]harness.Failure{{Cell: fail.Cell, Kind: string(fail.Kind), Reason: fail.Reason()}})
+		c.ExitFailures([]harness.Failure{harness.FailureOf(fail)})
 	}
 
 	f := &res.Counters
 	machine := fmt.Sprintf("ht=%v", *ht)
-	if (c.Geometry != core.Geometry{}) {
-		machine = fmt.Sprintf("geo=%v", c.Geometry)
+	if (geo != core.Geometry{}) {
+		machine = fmt.Sprintf("geo=%v", geo)
 	}
 	fmt.Printf("benchmark    %s (threads=%d scale=%v %s partition=%s)\n",
 		b.Name, *threads, c.Scale, machine, *partition)

@@ -33,23 +33,10 @@ func main() {
 		bName   = flag.String("b", "mpegaudio", "second benchmark")
 		all     = flag.Bool("all", false, "run the full 9x9 cross product")
 		benches = flag.String("benches", "", "comma-separated benchmarks restricting the -all cross product")
-		runs    = flag.Int("runs", 6, "averaged runs per program (paper: 12)")
 	)
-	cf := cli.Register("pairings", flag.CommandLine, cli.Options{Jobs: true, Quiet: true})
+	cf := cli.Register("pairings", flag.CommandLine, cli.Options{Jobs: true, Quiet: true, Runs: true})
 	flag.Parse()
 	c := cf.MustFinish()
-
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Runs = *runs
-	cfg.Progress = c.Progress()
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
 
 	if *all {
 		targets := bench.SingleThreaded()
@@ -63,26 +50,12 @@ func main() {
 				targets = append(targets, b)
 			}
 		}
-		var names []string
-		for _, b := range targets {
-			names = append(names, b.Name)
-		}
-		j, err := c.OpenJournal(fmt.Sprintf("pairings scale=%v runs=%d benches=%s",
-			c.Scale, *runs, strings.Join(names, ",")))
-		if err != nil {
-			c.Fatal(err)
-		}
-		cfg.Journal = j
+		cfg := c.Campaign(harness.Labels(harness.PairingCellSpecs(targets))...)
 		p, err := harness.RunPairingsOf(targets, cfg)
 		if err != nil {
 			c.Fatal(err)
 		}
-		if err := j.Close(); err != nil {
-			c.Fatal(err)
-		}
-		if err := c.WriteObs(); err != nil {
-			c.Fatal(err)
-		}
+		c.Close(cfg)
 		fmt.Println(p.Fig8())
 		fmt.Println(p.Fig9())
 		fmt.Println(p.Fig11())
@@ -98,23 +71,14 @@ func main() {
 	if !ok {
 		c.Fatal(fmt.Errorf("unknown benchmark %q", *bName))
 	}
-	j, err := c.OpenJournal(fmt.Sprintf("pair scale=%v runs=%d", c.Scale, *runs))
-	if err != nil {
-		c.Fatal(err)
-	}
-	cfg.Journal = j
+	cfg := c.Campaign(harness.PairLabel(a, b))
 	res, fail, err := harness.RunPairCell(a, b, cfg)
 	if err != nil {
 		c.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(cfg)
 	if fail != nil {
-		c.ExitFailures([]harness.Failure{{Cell: fail.Cell, Kind: string(fail.Kind), Reason: fail.Reason()}})
+		c.ExitFailures([]harness.Failure{harness.FailureOf(fail)})
 	}
 	f := &res.Counters
 	fmt.Printf("pair            %s + %s\n", res.A, res.B)

@@ -21,19 +21,18 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
+	"javasmt/internal/bench"
 	"javasmt/internal/cli"
 	"javasmt/internal/harness"
 )
 
 func main() {
-	runs := flag.Int("runs", 6, "averaged runs per program in pairing experiments (paper: 12)")
 	sel := map[string]*bool{}
 	for _, name := range []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
 		sel[name] = flag.Bool(name, false, "render "+name)
 	}
-	cf := cli.Register("report", flag.CommandLine, cli.Options{Jobs: true, Quiet: true})
+	cf := cli.Register("report", flag.CommandLine, cli.Options{Jobs: true, Quiet: true, Runs: true})
 	flag.Parse()
 	c := cf.MustFinish()
 
@@ -44,38 +43,30 @@ func main() {
 		}
 	}
 	want := func(name string) bool { return all || *sel[name] }
-	var selected []string
-	for _, name := range []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
-		if want(name) {
-			selected = append(selected, name)
-		}
+	needChar := want("table2") || want("fig1") || want("fig2") || want("fig3") ||
+		want("fig4") || want("fig5") || want("fig6") || want("fig7")
+	needPairs := want("fig8") || want("fig9") || want("fig11")
+	fig12Threads := []int{1, 2, 4, 8, 16}
+	var cells []harness.CellSpec
+	if needChar {
+		cells = append(cells, harness.CharacterizationCellSpecs()...)
 	}
-
-	j, err := c.OpenJournal(fmt.Sprintf("report scale=%v runs=%d items=%s",
-		c.Scale, *runs, strings.Join(selected, ",")))
-	if err != nil {
-		c.Fatal(err)
+	if needPairs {
+		cells = append(cells, harness.PairingCellSpecs(bench.SingleThreaded())...)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Runs = *runs
-	cfg.Progress = c.Progress()
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
+	if want("fig10") {
+		cells = append(cells, harness.Fig10CellSpecs()...)
+	}
+	if want("fig12") {
+		cells = append(cells, harness.Fig12CellSpecs(fig12Threads)...)
+	}
+	cfg := c.Campaign(harness.Labels(cells)...)
 	var failed []harness.Failure
 
 	if want("table1") {
 		fmt.Println(harness.Table1())
 	}
 
-	needChar := want("table2") || want("fig1") || want("fig2") || want("fig3") ||
-		want("fig4") || want("fig5") || want("fig6") || want("fig7")
 	if needChar {
 		ch, err := harness.RunCharacterization(cfg)
 		if err != nil {
@@ -108,7 +99,7 @@ func main() {
 		}
 	}
 
-	if want("fig8") || want("fig9") || want("fig11") {
+	if needPairs {
 		p, err := harness.RunPairings(cfg)
 		if err != nil {
 			c.Fatal(err)
@@ -126,37 +117,23 @@ func main() {
 	}
 
 	if want("fig10") {
-		rows, err := harness.RunFig10(cfg)
+		rows, fails, err := harness.RunFig10(cfg)
 		if err != nil {
 			c.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Failed != "" {
-				failed = append(failed, harness.Failure{Cell: "fig10 " + r.Benchmark, Reason: r.Failed})
-			}
-		}
+		failed = append(failed, fails...)
 		fmt.Println(harness.RenderFig10(rows))
 	}
 
 	if want("fig12") {
-		rows, err := harness.RunFig12(cfg, []int{1, 2, 4, 8, 16})
+		rows, fails, err := harness.RunFig12(cfg, fig12Threads)
 		if err != nil {
 			c.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Failed != "" {
-				failed = append(failed, harness.Failure{
-					Cell: fmt.Sprintf("fig12 %s t=%d", r.Benchmark, r.Threads), Reason: r.Failed})
-			}
-		}
+		failed = append(failed, fails...)
 		fmt.Println(harness.RenderFig12(rows))
 	}
 
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(cfg)
 	c.ExitFailures(failed)
 }

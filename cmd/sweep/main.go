@@ -17,7 +17,8 @@
 //
 // The sweep runs under the campaign resilience block: cells bounded by
 // -deadline/-cycle-budget print as FAILED rows instead of aborting the
-// grid, and -journal/-resume checkpoint long sweeps.
+// grid, and -journal/-resume checkpoint long sweeps. Per-cell progress
+// goes to stderr; stdout carries only the table.
 //
 //	sweep
 //	sweep -bench MolDyn -threads 1,2,4,8,16 -scale small -j 4
@@ -56,6 +57,9 @@ func main() {
 	c := cf.MustFinish()
 
 	if *policies != "" {
+		if c.SchedPolicy != "" {
+			c.Usagef("-policy %s conflicts with -policies: the policy axis sets each cell's seating policy", c.SchedPolicy)
+		}
 		policySweep(c, *policies, *mixes, *geoList)
 		return
 	}
@@ -83,47 +87,18 @@ func main() {
 		}
 		targets = []*bench.Benchmark{b}
 	}
-	var names []string
-	for _, b := range targets {
-		names = append(names, b.Name)
-	}
-
-	j, err := c.OpenJournal(fmt.Sprintf("sweep scale=%v benches=%s threads=%s",
-		c.Scale, strings.Join(names, ","), *threads))
+	cfg := c.Campaign(harness.Labels(harness.SweepCellSpecs(targets, counts))...)
+	cells, failed, err := harness.RunSweep(cfg, targets, counts)
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
-	cells, err := harness.RunSweep(cfg, targets, counts)
-	if err != nil {
-		c.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(cfg)
 
-	var failed []harness.Failure
 	fmt.Printf("%-12s %8s %8s %10s %10s %8s %10s %12s\n",
 		"benchmark", "threads", "IPC", "L1D/1k", "OS %", "DT %", "lockCont", "fenceStall")
 	for _, cell := range cells {
 		if cell.Failed != "" {
 			fmt.Printf("%-12s %8d FAILED(%s)\n", cell.Benchmark, cell.Threads, cell.Failed)
-			failed = append(failed, harness.Failure{
-				Cell:   fmt.Sprintf("%s t=%d", cell.Benchmark, cell.Threads),
-				Reason: cell.Failed,
-			})
 			continue
 		}
 		f := &cell.Counters
@@ -184,42 +159,14 @@ func policySweep(c *cli.Common, policyList, mixList, geoList string) {
 		ms = append(ms, harness.ServerMix(n))
 	}
 
-	j, err := c.OpenJournal(fmt.Sprintf("sweep scale=%v policies=%s mixes=%s geos=%s",
-		c.Scale, strings.Join(pols, ","), mixList, geoList))
+	cfg := c.Campaign(harness.Labels(harness.PolicyCellSpecs(pols, ms, geos))...)
+	cells, failed, err := harness.RunPolicySweep(cfg, pols, ms, geos)
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Progress = c.Progress()
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedParams = c.SchedParams()
-	cells, err := harness.RunPolicySweep(cfg, pols, ms, geos)
-	if err != nil {
-		c.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(cfg)
 
 	fmt.Print(harness.RenderPolicySweep(cells))
-	var failed []harness.Failure
-	for _, cell := range cells {
-		if cell.Failed != "" {
-			failed = append(failed, harness.Failure{
-				Cell:   fmt.Sprintf("%s policy=%s geo=%v", cell.Mix, cell.Policy, cell.Geometry),
-				Reason: cell.Failed,
-			})
-		}
-	}
 	c.ExitFailures(failed)
 }
 
@@ -240,46 +187,17 @@ func geometrySweep(c *cli.Common, name, benches, geoList string) {
 		}
 		targets = []*bench.Benchmark{b}
 	}
-	var names []string
-	for _, b := range targets {
-		names = append(names, b.Name)
-	}
-
-	j, err := c.OpenJournal(fmt.Sprintf("sweep scale=%v benches=%s geos=%s",
-		c.Scale, strings.Join(names, ","), geoList))
+	cfg := c.Campaign(harness.Labels(harness.GeometryCellSpecs(targets, geos))...)
+	cells, failed, err := harness.RunGeometrySweep(cfg, targets, geos)
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
-	cells, err := harness.RunGeometrySweep(cfg, targets, geos)
-	if err != nil {
-		c.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(cfg)
 
-	var failed []harness.Failure
 	fmt.Printf("%-12s %8s %8s %8s %10s %10s %8s\n", "benchmark", "geo", "threads", "IPC", "L1D/1k", "OS %", "DT %")
 	for _, cell := range cells {
 		if cell.Failed != "" {
 			fmt.Printf("%-12s %8v FAILED(%s)\n", cell.Benchmark, cell.Geometry, cell.Failed)
-			failed = append(failed, harness.Failure{
-				Cell:   fmt.Sprintf("%s geo=%v", cell.Benchmark, cell.Geometry),
-				Reason: cell.Failed,
-			})
 			continue
 		}
 		f := &cell.Counters

@@ -1,11 +1,12 @@
 // Package cli is the flag surface shared by the repository's commands:
 // scale selection, engine parallelism, quiet mode, invariant checks,
-// the observability outputs (-metrics, -trace, -sample), and the
-// campaign resilience block (-deadline, -cycle-budget, -retries,
-// -inject, -journal, -resume, -journal-sync). Each tool registers the
-// block once,
-// parses, and resolves it into a Common that carries the scale, job
-// count, resilience policy and (possibly nil) obs.Sink.
+// the observability outputs (-metrics, -trace, -sample), the sampling
+// and scheduling knobs, and the campaign resilience block (-deadline,
+// -cycle-budget, -retries, -inject, -journal, -resume, -journal-sync).
+// Each tool registers the block once, parses, and resolves it into a
+// Common: the one place flags become a harness.Config, and the one
+// place a tool's campaign journal is opened under that configuration's
+// harness.Identity.
 package cli
 
 import (
@@ -60,13 +61,15 @@ func ParseScale(s string) (bench.Scale, error) {
 }
 
 // Options selects which optional flags a tool registers on top of the
-// always-present block (-scale, -small, -checks, -metrics, -trace,
-// -sample).
+// always-present block (-scale, -checks, -metrics, -trace, -sample,
+// the sampling, scheduling and resilience knobs).
 type Options struct {
 	// Jobs registers -j for tools that fan experiments out.
 	Jobs bool
 	// Quiet registers -q for tools with progress output.
 	Quiet bool
+	// Runs registers -runs for tools that run pairing cells.
+	Runs bool
 }
 
 // Flags holds the registered flag values until Finish resolves them.
@@ -75,9 +78,9 @@ type Flags struct {
 	fs   *flag.FlagSet
 
 	scale   *string
-	small   *bool
 	jobs    *int
 	quiet   *bool
+	runs    *int
 	checks  *bool
 	metrics *string
 	trace   *string
@@ -96,9 +99,6 @@ type Flags struct {
 	warmup     *uint64
 	window     *uint64
 
-	cores    *int
-	contexts *int
-
 	policy    *string
 	timeslice *uint64
 }
@@ -109,7 +109,6 @@ type Flags struct {
 func Register(tool string, fs *flag.FlagSet, opt Options) *Flags {
 	f := &Flags{tool: tool, fs: fs}
 	f.scale = fs.String("scale", "tiny", "input scale: tiny|small|medium")
-	f.small = fs.Bool("small", false, "deprecated: use -scale small")
 	f.checks = fs.Bool("checks", check.Enabled, "enable runtime invariant probes (needs a -tags checks build)")
 	f.metrics = fs.String("metrics", "", "write sampled metrics time-series JSON to `file`")
 	f.trace = fs.String("trace", "", "write Chrome trace-event JSON to `file` (chrome://tracing, Perfetto)")
@@ -126,8 +125,6 @@ func Register(tool string, fs *flag.FlagSet, opt Options) *Flags {
 	f.ffInterval = fs.Uint64("ff-interval", def.FFUops, "sampled mode: unwarmed fast-forward `uops` per interval")
 	f.warmup = fs.Uint64("warmup", def.WarmupUops, "sampled mode: warmed functional `uops` before each detailed window")
 	f.window = fs.Uint64("window", def.WindowCycles, "sampled mode: detailed-window length in `cycles`")
-	f.cores = fs.Int("cores", 0, "machine geometry: physical cores (with -contexts; 0 = the classic -ht machine)")
-	f.contexts = fs.Int("contexts", 0, "machine geometry: hardware contexts per core (with -cores)")
 	f.policy = fs.String("policy", "",
 		"seating `policy`: "+strings.Join(simos.PolicyNames(), "|")+" (default naive, the seed FIFO)")
 	f.timeslice = fs.Uint64("timeslice", 0, "scheduler timeslice in `cycles` (0 = built-in default)")
@@ -137,34 +134,20 @@ func Register(tool string, fs *flag.FlagSet, opt Options) *Flags {
 	if opt.Quiet {
 		f.quiet = fs.Bool("q", false, "suppress progress output")
 	}
+	if opt.Runs {
+		f.runs = fs.Int("runs", harness.DefaultConfig().Runs, "averaged runs per program in pairing cells (paper: 12)")
+	}
 	return f
 }
 
-// Common is the resolved common configuration. Obs is nil unless
-// -metrics or -trace was given, so untraced runs pay nothing.
+// Common is the resolved common configuration: the harness.Config
+// every cell of the tool runs under (Journal stays nil until Campaign
+// opens it; Obs is nil unless -metrics or -trace was given, so untraced
+// runs pay nothing; Progress is nil under -q) plus the tool's output
+// settings.
 type Common struct {
-	Scale bench.Scale
-	Jobs  int
+	harness.Config
 	Quiet bool
-	Obs   *obs.Sink
-	// Policy is the per-cell resilience policy from -deadline,
-	// -cycle-budget and -retries (zero value when none given).
-	Policy resilience.CellPolicy
-	// Inject is the parsed -inject fault injector, nil when absent.
-	Inject *faultinject.Injector
-	// Plan is the simulation regime from -sim-mode/-ff-interval/-warmup/
-	// -window; the zero value (full detailed simulation) when -sim-mode
-	// is absent or "full".
-	Plan sampling.Plan
-	// Geometry is the machine shape from -cores/-contexts; the zero value
-	// (neither flag given) defers to each tool's HT flag, keeping legacy
-	// invocations byte-identical.
-	Geometry core.Geometry
-	// SchedPolicy is the -policy seating policy name ("" = naive, the
-	// seed FIFO); Timeslice is the -timeslice override in cycles (0 =
-	// the scheduler's built-in default).
-	SchedPolicy string
-	Timeslice   uint64
 
 	tool        string
 	metricsPath string
@@ -186,6 +169,9 @@ func (f *Flags) Finish() (*Common, error) {
 	}
 	if f.jobs != nil && *f.jobs < 0 {
 		return nil, fmt.Errorf("-j %d is negative; use -j 1 for serial or omit for all CPUs", *f.jobs)
+	}
+	if f.runs != nil && *f.runs < 1 {
+		return nil, fmt.Errorf("-runs %d must be positive", *f.runs)
 	}
 	if *f.retries < 0 {
 		return nil, fmt.Errorf("-retries %d is negative", *f.retries)
@@ -235,44 +221,13 @@ func (f *Flags) Finish() (*Common, error) {
 	if _, err := simos.NewPolicy(*f.policy); err != nil {
 		return nil, err
 	}
-	geo := core.Geometry{Cores: *f.cores, ContextsPerCore: *f.contexts}
-	if (geo != core.Geometry{}) {
-		if geo.Cores <= 0 || geo.ContextsPerCore <= 0 {
-			return nil, fmt.Errorf("-cores and -contexts must be given together as positive counts (got %dx%d)",
-				geo.Cores, geo.ContextsPerCore)
-		}
-	}
-	scaleStr := *f.scale
-	if *f.small {
-		scaleSet := false
-		f.fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if scaleSet && !strings.EqualFold(scaleStr, "small") {
-			return nil, fmt.Errorf("-small conflicts with -scale %s", scaleStr)
-		}
-		fmt.Fprintf(f.fs.Output(), "%s: -small is deprecated; use -scale small\n", f.tool)
-		scaleStr = "small"
-	}
-	scale, err := ParseScale(scaleStr)
+	scale, err := ParseScale(*f.scale)
 	if err != nil {
 		return nil, err
 	}
 	c := &Common{
-		Scale: scale,
-		Jobs:  1,
-		Policy: resilience.CellPolicy{
-			WallDeadline: *f.deadline,
-			CycleBudget:  *f.budget,
-			Retries:      *f.retries,
-		},
-		Inject:      inject,
-		Plan:        plan,
-		Geometry:    geo,
-		SchedPolicy: *f.policy,
-		Timeslice:   *f.timeslice,
+		Config:      harness.DefaultConfig(),
+		Quiet:       f.quiet != nil && *f.quiet,
 		tool:        f.tool,
 		metricsPath: *f.metrics,
 		tracePath:   *f.trace,
@@ -280,11 +235,20 @@ func (f *Flags) Finish() (*Common, error) {
 		resume:      *f.resume,
 		journalSync: *f.journalSync,
 	}
+	c.Scale = scale
+	c.Policy = resilience.CellPolicy{WallDeadline: *f.deadline, CycleBudget: *f.budget, Retries: *f.retries}
+	c.Inject = inject
+	c.Plan = plan
+	c.SchedPolicy = *f.policy
+	c.SchedParams = simos.Params{Timeslice: *f.timeslice}
 	if f.jobs != nil {
 		c.Jobs = *f.jobs
 	}
-	if f.quiet != nil {
-		c.Quiet = *f.quiet
+	if f.runs != nil {
+		c.Runs = *f.runs
+	}
+	if !c.Quiet {
+		c.Progress = func(msg string) { fmt.Fprintf(os.Stderr, "... %s\n", msg) }
 	}
 	if c.metricsPath != "" || c.tracePath != "" {
 		c.Obs = obs.New(obs.Config{
@@ -306,15 +270,6 @@ func (f *Flags) MustFinish() *Common {
 	return c
 }
 
-// Progress returns the tool's progress callback: a stderr line printer,
-// or nil when -q was given (experiment drivers treat nil as disabled).
-func (c *Common) Progress() func(string) {
-	if c.Quiet {
-		return nil
-	}
-	return func(msg string) { fmt.Fprintf(os.Stderr, "... %s\n", msg) }
-}
-
 // WriteObs writes whichever observability files were requested on the
 // command line; with neither -metrics nor -trace it writes nothing.
 func (c *Common) WriteObs() error {
@@ -331,57 +286,24 @@ func (c *Common) WriteObs() error {
 	return nil
 }
 
-// GeometryTag is the journal-config descriptor of the machine shape:
-// empty with no -cores/-contexts (so journals written before geometry
-// existed keep their exact config strings) and a canonical " geo=MxN"
-// clause otherwise.
-func (c *Common) GeometryTag() string {
-	if (c.Geometry == core.Geometry{}) {
-		return ""
-	}
-	return fmt.Sprintf(" geo=%v", c.Geometry)
-}
-
-// PolicyTag is the journal-config descriptor of the scheduling
-// configuration: empty with no -policy/-timeslice (so journals written
-// before policies existed keep their exact config strings) and
-// canonical " policy=NAME"/" timeslice=N" clauses otherwise.
-func (c *Common) PolicyTag() string {
-	tag := ""
-	if c.SchedPolicy != "" {
-		tag += " policy=" + c.SchedPolicy
-	}
-	if c.Timeslice != 0 {
-		tag += fmt.Sprintf(" timeslice=%d", c.Timeslice)
-	}
-	return tag
-}
-
-// SchedParams returns the simos scheduler tuning from the flags: the
-// zero value unless -timeslice was given (simos.New fills unset fields
-// from DefaultParams).
-func (c *Common) SchedParams() simos.Params {
-	return simos.Params{Timeslice: c.Timeslice}
-}
-
-// OpenJournal opens the campaign journal selected by -journal/-resume,
-// or returns nil when no journal was requested. config is the tool's
-// campaign identity string; the sampling plan's Tag and the geometry
-// tag are appended to it here, so resuming under a different
-// configuration — including a different simulation mode, sampling
-// regime or machine shape, whose cells would not be comparable — is
-// refused in one place for every tool. On resume it reports how many
-// completed cells will be skipped.
-func (c *Common) OpenJournal(config string) (*resilience.Journal, error) {
+// openJournal opens the campaign journal selected by -journal/-resume,
+// or returns nil when no journal was requested. Its identity is
+// harness.Identity of the flags' configuration and the labels of the
+// cells the campaign enumerates, so resuming under anything that would
+// change a completed cell's bytes — another scale, pairing depth,
+// simulation mode, sampling regime, seating policy, scheduler tuning,
+// model version or cell set — is refused in one place for every tool.
+// On resume it reports how many completed cells will be skipped.
+func (c *Common) openJournal(labels ...string) (*resilience.Journal, error) {
 	if c.journalDir == "" {
 		return nil, nil
 	}
-	config += c.Plan.Tag() + c.GeometryTag() + c.PolicyTag()
 	var opts []resilience.Option
 	if c.journalSync {
 		opts = append(opts, resilience.WithSync())
 	}
-	j, err := resilience.Open(c.journalDir, resilience.Meta{Tool: c.tool, Config: config}, c.resume, opts...)
+	meta := resilience.Meta{Tool: c.tool, Config: harness.Identity(c.Config, labels)}
+	j, err := resilience.Open(c.journalDir, meta, c.resume, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -389,6 +311,31 @@ func (c *Common) OpenJournal(config string) (*resilience.Journal, error) {
 		fmt.Fprintf(os.Stderr, "%s: resuming: %d completed cells in journal\n", c.tool, j.Resumed())
 	}
 	return j, nil
+}
+
+// Campaign returns the configuration a campaign over the labelled
+// cells runs under: the flags' harness.Config with the journal
+// openJournal opened for those labels. An error exits 1.
+func (c *Common) Campaign(labels ...string) harness.Config {
+	j, err := c.openJournal(labels...)
+	if err != nil {
+		c.Fatal(err)
+	}
+	cfg := c.Config
+	cfg.Journal = j
+	return cfg
+}
+
+// Close ends a campaign begun by Campaign: it closes the journal and
+// writes whichever observability files were requested. An error exits
+// 1.
+func (c *Common) Close(cfg harness.Config) {
+	if err := cfg.Journal.Close(); err != nil {
+		c.Fatal(err)
+	}
+	if err := c.WriteObs(); err != nil {
+		c.Fatal(err)
+	}
 }
 
 // ExitFailures prints a campaign-failure summary and exits 1 — the

@@ -9,6 +9,7 @@ import (
 
 	"javasmt/internal/bench"
 	"javasmt/internal/faultinject"
+	"javasmt/internal/harness"
 	"javasmt/internal/obs"
 	"javasmt/internal/resilience"
 	"javasmt/internal/sampling"
@@ -71,26 +72,6 @@ func TestScaleFlag(t *testing.T) {
 	}
 }
 
-func TestSmallDeprecatedAlias(t *testing.T) {
-	c, err := parse(t, Options{}, "-small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Scale != bench.Small {
-		t.Errorf("-small resolved to %v, want small", c.Scale)
-	}
-	// Redundant but consistent spelling is accepted.
-	if c, err = parse(t, Options{}, "-small", "-scale", "small"); err != nil || c.Scale != bench.Small {
-		t.Errorf("-small -scale small = %v, %v", c, err)
-	}
-	// Conflicting explicit -scale is a usage error.
-	if _, err = parse(t, Options{}, "-small", "-scale", "medium"); err == nil {
-		t.Error("-small -scale medium did not error")
-	} else if !strings.Contains(err.Error(), "conflicts") {
-		t.Errorf("conflict error = %v", err)
-	}
-}
-
 func TestJobsAndQuiet(t *testing.T) {
 	c, err := parse(t, Options{Jobs: true, Quiet: true}, "-j", "3", "-q")
 	if err != nil {
@@ -99,14 +80,14 @@ func TestJobsAndQuiet(t *testing.T) {
 	if c.Jobs != 3 || !c.Quiet {
 		t.Errorf("jobs=%d quiet=%v, want 3 true", c.Jobs, c.Quiet)
 	}
-	if c.Progress() != nil {
+	if c.Progress != nil {
 		t.Error("quiet tool still got a progress callback")
 	}
 	loud, err := parse(t, Options{Jobs: true, Quiet: true}, "-j", "2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loud.Progress() == nil {
+	if loud.Progress == nil {
 		t.Error("non-quiet tool got no progress callback")
 	}
 }
@@ -151,9 +132,10 @@ func TestErrorPaths(t *testing.T) {
 		{[]string{"-deadline", "-5s"}, "-deadline"},
 		{[]string{"-resume"}, "-journal"},
 		{[]string{"-scale", "huge"}, "unknown scale"},
+		{[]string{"-runs", "0"}, "-runs"},
 	}
 	for _, tc := range cases {
-		_, err := parse(t, Options{Jobs: true}, tc.args...)
+		_, err := parse(t, Options{Jobs: true, Runs: true}, tc.args...)
 		if err == nil {
 			t.Errorf("%v: accepted", tc.args)
 			continue
@@ -196,7 +178,7 @@ func TestCampaignFlags(t *testing.T) {
 	if c.Policy.WallDeadline != 30*time.Second || c.Policy.CycleBudget != 5_000_000_000 || c.Policy.Retries != 2 {
 		t.Fatalf("policy = %+v", c.Policy)
 	}
-	if j, err := c.OpenJournal("cfg"); j != nil || err != nil {
+	if j, err := c.openJournal("cfg"); j != nil || err != nil {
 		t.Fatalf("no -journal: journal=%v err=%v", j, err)
 	}
 
@@ -205,7 +187,7 @@ func TestCampaignFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.OpenJournal("cfg")
+	j, err := c.openJournal("cfg")
 	if err != nil || j == nil {
 		t.Fatalf("fresh journal: %v", err)
 	}
@@ -216,14 +198,14 @@ func TestCampaignFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-running without -resume over a used journal must refuse.
-	if _, err := c.OpenJournal("cfg"); err == nil {
+	if _, err := c.openJournal("cfg"); err == nil {
 		t.Fatal("fresh open over an existing journal did not refuse")
 	}
 	c, err = parse(t, Options{}, "-journal", dir, "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err = c.OpenJournal("cfg")
+	j, err = c.openJournal("cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +214,7 @@ func TestCampaignFlags(t *testing.T) {
 	}
 	j.Close()
 	// Resuming under a different campaign configuration must refuse.
-	if _, err := c.OpenJournal("other-config"); err == nil {
+	if _, err := c.openJournal("other-config"); err == nil {
 		t.Fatal("resume with a different config did not refuse")
 	}
 }
@@ -249,7 +231,7 @@ func TestJournalSyncFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.OpenJournal("cfg")
+	j, err := c.openJournal("cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +243,7 @@ func TestJournalSyncFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err = c.OpenJournal("cfg")
+	j, err = c.openJournal("cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,24 +251,6 @@ func TestJournalSyncFlag(t *testing.T) {
 		t.Fatalf("resumed = %d, want 1", j.Resumed())
 	}
 	j.Close()
-}
-
-// TestSmallWarningText pins the deprecation warning wording (and that it
-// goes to the flag set's output, where tests and wrappers can see it).
-func TestSmallWarningText(t *testing.T) {
-	fs := flag.NewFlagSet("testtool", flag.ContinueOnError)
-	var out strings.Builder
-	fs.SetOutput(&out)
-	f := Register("testtool", fs, Options{})
-	if err := fs.Parse([]string{"-small"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); !strings.Contains(got, "testtool: -small is deprecated; use -scale small") {
-		t.Fatalf("warning = %q", got)
-	}
 }
 
 // TestSamplingFlags pins the -sim-mode flag block: full is the default
@@ -340,7 +304,7 @@ func TestSamplingFlags(t *testing.T) {
 func TestSampledJournalCrossMode(t *testing.T) {
 	record := func(c *Common) {
 		t.Helper()
-		j, err := c.OpenJournal("cfg")
+		j, err := c.openJournal("cfg")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +327,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, err := c.OpenJournal("cfg"); err == nil {
+	if j, err := c.openJournal("cfg"); err == nil {
 		j.Close()
 		t.Fatal("sampled resume over a full-mode journal did not refuse")
 	}
@@ -380,7 +344,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, err := c.OpenJournal("cfg"); err == nil {
+	if j, err := c.openJournal("cfg"); err == nil {
 		j.Close()
 		t.Fatal("full resume over a sampled journal did not refuse")
 	}
@@ -388,7 +352,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, err := c.OpenJournal("cfg"); err == nil {
+	if j, err := c.openJournal("cfg"); err == nil {
 		j.Close()
 		t.Fatal("resume under a different sampled regime did not refuse")
 	}
@@ -396,7 +360,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.OpenJournal("cfg")
+	j, err := c.openJournal("cfg")
 	if err != nil {
 		t.Fatalf("identical sampled regime failed to resume: %v", err)
 	}
@@ -404,4 +368,72 @@ func TestSampledJournalCrossMode(t *testing.T) {
 		t.Errorf("resumed = %d, want 1", j.Resumed())
 	}
 	j.Close()
+}
+
+// TestGeometrySpellingResumes pins that flag spelling is not campaign
+// identity: a journal written for -geos "1x2, 2x2" resumes under
+// -geos 1x2,2x2, because the identity is built from the enumerated cell
+// labels, not from the flag text.
+func TestGeometrySpellingResumes(t *testing.T) {
+	labels := func(list string) []string {
+		t.Helper()
+		geos, err := ParseGeometries(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compress, _ := bench.ByName("compress")
+		return harness.Labels(harness.GeometryCellSpecs([]*bench.Benchmark{compress}, geos))
+	}
+	dir := t.TempDir()
+	c, err := parse(t, Options{}, "-journal", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.openJournal(labels("1x2, 2x2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record("compress geo=1x2", resilience.StatusOK, "", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	c, err = parse(t, Options{}, "-journal", dir, "-resume")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = c.openJournal(labels("1x2,2x2")...)
+	if err != nil {
+		t.Fatalf("respelled -geos refused to resume: %v", err)
+	}
+	if j.Resumed() != 1 {
+		t.Errorf("resumed = %d, want 1", j.Resumed())
+	}
+	j.Close()
+	if j, err := c.openJournal(labels("1x2,4x4")...); err == nil {
+		j.Close()
+		t.Fatal("resume under a different geometry axis did not refuse")
+	}
+}
+
+// TestRunsFlag pins that -runs exists only for tools that ask for it
+// and feeds the pairing depth of the configuration.
+func TestRunsFlag(t *testing.T) {
+	c, err := parse(t, Options{Runs: true}, "-runs", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Runs != 3 {
+		t.Errorf("runs = %d, want 3", c.Runs)
+	}
+	if c, err = parse(t, Options{}); err != nil || c.Runs != harness.DefaultConfig().Runs {
+		t.Errorf("runs without -runs registered = %d (%v), want the default", c.Runs, err)
+	}
+	fs := flag.NewFlagSet("testtool", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register("testtool", fs, Options{})
+	for _, name := range []string{"runs", "cores", "contexts", "small"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s registered for a tool that does not read it", name)
+		}
+	}
 }

@@ -38,7 +38,8 @@ type Failure struct {
 	Reason string
 }
 
-func failureOf(ce *resilience.CellError) Failure {
+// FailureOf is the campaign failure record of a cell's CellError.
+func FailureOf(ce *resilience.CellError) Failure {
 	return Failure{Cell: ce.Cell, Kind: string(ce.Kind), Reason: ce.Reason()}
 }
 
@@ -229,15 +230,18 @@ func counterFiles(v any) []*counters.File {
 // RunResilient is Run under cfg's campaign policy: panics, deadline
 // expiries and budget exhaustion come back as a *resilience.CellError
 // instead of crashing or hanging, and a journaled cell is resumed
-// rather than re-simulated. The error return is campaign-level (journal
-// I/O) only.
+// rather than re-simulated. The run takes its scale, sampling plan and
+// scheduler from cfg, the configuration the campaign identity names,
+// and is journaled under RunLabel. The error return is campaign-level
+// (journal I/O) only.
 func RunResilient(b *bench.Benchmark, opts Options, cfg Config) (*Result, *resilience.CellError, error) {
-	cell := opts.ObsLabel
-	if cell == "" {
-		cell = b.Name
-	}
+	cell := RunLabel(b, opts)
+	opts.Scale, opts.Plan, opts.SchedPolicy, opts.SchedParams = cfg.Scale, cfg.Plan, cfg.SchedPolicy, cfg.SchedParams
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = cfg.Policy.CycleBudget
+	}
+	if cfg.Obs.Enabled() {
+		opts.Obs, opts.ObsLabel = cfg.Obs, cell
 	}
 	out, err := runCell(cfg, cell, func(w *resilience.Watch) (*Result, error) {
 		o := opts
@@ -249,7 +253,7 @@ func RunResilient(b *bench.Benchmark, opts Options, cfg Config) (*Result, *resil
 
 // RunPairCell is RunPair under cfg's campaign policy; see RunResilient.
 func RunPairCell(a, b *bench.Benchmark, cfg Config) (*PairResult, *resilience.CellError, error) {
-	cell := "pair " + a.Name + "+" + b.Name
+	cell := PairLabel(a, b)
 	po := cfg.pairOptions()
 	out, err := runCell(cfg, cell, func(w *resilience.Watch) (*PairResult, error) {
 		o := po

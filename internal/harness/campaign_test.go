@@ -276,7 +276,7 @@ func TestRunSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cells, err := RunSweep(DefaultConfig(), []*bench.Benchmark{mustBench(t, "db")}, []int{1})
+	cells, _, err := RunSweep(DefaultConfig(), []*bench.Benchmark{mustBench(t, "db")}, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

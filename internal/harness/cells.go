@@ -34,7 +34,8 @@ type cellFn[T any] func(cfg Config, w *resilience.Watch) (T, error)
 
 // typedCell is one enumerated cell of a campaign: a stable label (the
 // journal identity), the simulation, and the FAILED-row constructor
-// drivers fall back to when the campaign gives the cell up.
+// drivers fall back to when the campaign gives the cell up (nil for
+// campaigns that drop failed cells from their results).
 type typedCell[T any] struct {
 	label  string
 	fn     cellFn[T]
@@ -56,6 +57,30 @@ func mapCells[T any](cfg Config, cells []typedCell[T]) ([]outcome[T], error) {
 		report(cells[i].label)
 		return runTyped(cfg, cells[i])
 	})
+}
+
+// runGrid fans enumerated cells across the engine and folds their
+// outcomes in cell order: a completed cell contributes its result; a
+// failed one contributes a Failure under its enumerated label and,
+// when the cell has one, its FAILED row.
+func runGrid[T any](cfg Config, cells []typedCell[T]) ([]T, []Failure, error) {
+	outs, err := mapCells(cfg, cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rows []T
+	var fails []Failure
+	for i, o := range outs {
+		if o.fail == nil {
+			rows = append(rows, o.v)
+			continue
+		}
+		fails = append(fails, FailureOf(o.fail))
+		if cells[i].failed != nil {
+			rows = append(rows, cells[i].failed(o.fail.Reason()))
+		}
+	}
+	return rows, fails, nil
 }
 
 // characterizationCells enumerates the §4.1 run matrix: every
@@ -107,7 +132,7 @@ func pairGrid(progs []*bench.Benchmark) [][2]int {
 // rings, ROB rings and cache arrays.
 func pairCell(a, b *bench.Benchmark) typedCell[*PairResult] {
 	return typedCell[*PairResult]{
-		label: "pair " + a.Name + "+" + b.Name,
+		label: PairLabel(a, b),
 		fn: func(cfg Config, w *resilience.Watch) (*PairResult, error) {
 			// A panicking cell unwinds past the Put, so its machine —
 			// possibly mid-corruption — is never pooled; canceled or

@@ -37,19 +37,11 @@ type Characterization struct {
 // independent cells across up to cfg.Jobs workers. Cell order in the
 // result is fixed regardless of parallelism.
 func RunCharacterization(cfg Config) (*Characterization, error) {
-	outs, err := mapCells(cfg, characterizationCells())
+	runs, failed, err := runGrid(cfg, characterizationCells())
 	if err != nil {
 		return nil, err
 	}
-	c := &Characterization{Scale: cfg.Scale}
-	for _, o := range outs {
-		if o.fail != nil {
-			c.Failed = append(c.Failed, failureOf(o.fail))
-			continue
-		}
-		c.Runs = append(c.Runs, o.v)
-	}
-	return c, nil
+	return &Characterization{Scale: cfg.Scale, Runs: runs, Failed: failed}, nil
 }
 
 // find returns the run for (name, threads, ht), or nil if that cell
@@ -281,7 +273,7 @@ func RunPairingsOf(progs []*bench.Benchmark, cfg Config) (*Pairings, error) {
 	for idx, o := range results {
 		i, j := grid[idx][0], grid[idx][1]
 		if o.fail != nil {
-			p.Failed = append(p.Failed, failureOf(o.fail))
+			p.Failed = append(p.Failed, FailureOf(o.fail))
 			continue
 		}
 		res := o.v
@@ -445,22 +437,10 @@ func (r Fig10Row) DynSlowdownPct() float64 {
 
 // RunFig10 measures the static-partition tax on each single-threaded
 // program (paper §4.3), plus the dynamic-partition ablation, fanning
-// the per-benchmark measurements across up to cfg.Jobs workers.
-func RunFig10(cfg Config) ([]Fig10Row, error) {
-	cells := fig10Cells()
-	outs, err := mapCells(cfg, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig10Row, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			rows[i] = cells[i].failed(o.fail.Reason())
-			continue
-		}
-		rows[i] = o.v
-	}
-	return rows, nil
+// the per-benchmark measurements across up to cfg.Jobs workers. A
+// failed cell is both a FAILED row and a Failure under its label.
+func RunFig10(cfg Config) ([]Fig10Row, []Failure, error) {
+	return runGrid(cfg, fig10Cells())
 }
 
 // RenderFig10 formats the Figure 10 rows.
@@ -496,22 +476,10 @@ type Fig12Row struct {
 }
 
 // RunFig12 sweeps thread counts on the HT processor (paper §4.4),
-// fanning the sweep grid across up to cfg.Jobs workers.
-func RunFig12(cfg Config, threadCounts []int) ([]Fig12Row, error) {
-	cells := fig12Cells(threadCounts)
-	outs, err := mapCells(cfg, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig12Row, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			rows[i] = cells[i].failed(o.fail.Reason())
-			continue
-		}
-		rows[i] = o.v
-	}
-	return rows, nil
+// fanning the sweep grid across up to cfg.Jobs workers. A failed cell
+// is both a FAILED row and a Failure under its label.
+func RunFig12(cfg Config, threadCounts []int) ([]Fig12Row, []Failure, error) {
+	return runGrid(cfg, fig12Cells(threadCounts))
 }
 
 // RenderFig12 formats the thread sweep.
@@ -541,22 +509,10 @@ type SweepCell struct {
 
 // RunSweep runs each target benchmark at each thread count on the HT
 // processor and collects full counter files, under cfg's campaign
-// policy (deadline, budget, retries, journal, fault injection).
-func RunSweep(cfg Config, targets []*bench.Benchmark, threadCounts []int) ([]SweepCell, error) {
-	grid := sweepCells(targets, threadCounts)
-	outs, err := mapCells(cfg, grid)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]SweepCell, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			cells[i] = grid[i].failed(o.fail.Reason())
-			continue
-		}
-		cells[i] = o.v
-	}
-	return cells, nil
+// policy (deadline, budget, retries, journal, fault injection). A
+// failed cell is both a FAILED row and a Failure under its label.
+func RunSweep(cfg Config, targets []*bench.Benchmark, threadCounts []int) ([]SweepCell, []Failure, error) {
+	return runGrid(cfg, sweepCells(targets, threadCounts))
 }
 
 // GeometryCell is one cell of a machine-geometry sweep (cmd/sweep
@@ -579,20 +535,8 @@ type GeometryCell struct {
 // under cfg's campaign policy. Multithreaded benchmarks get one software
 // thread per hardware context so every seat is filled; single-threaded
 // ones run solo on context 0, measuring the partitioning tax of each
-// shape.
-func RunGeometrySweep(cfg Config, targets []*bench.Benchmark, geos []core.Geometry) ([]GeometryCell, error) {
-	grid := geometryCells(targets, geos)
-	outs, err := mapCells(cfg, grid)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]GeometryCell, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			cells[i] = grid[i].failed(o.fail.Reason())
-			continue
-		}
-		cells[i] = o.v
-	}
-	return cells, nil
+// shape. A failed cell is both a FAILED row and a Failure under its
+// label.
+func RunGeometrySweep(cfg Config, targets []*bench.Benchmark, geos []core.Geometry) ([]GeometryCell, []Failure, error) {
+	return runGrid(cfg, geometryCells(targets, geos))
 }

@@ -91,7 +91,7 @@ func TestFig10StaticPartitionTax(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := RunFig10(Config{Scale: bench.Tiny})
+	rows, _, err := RunFig10(Config{Scale: bench.Tiny})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,11 +99,11 @@ func TestRunFig12ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	serial, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 1}, []int{2})
+	serial, _, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 1}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 4}, []int{2})
+	parallel, _, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 4}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package service
 import "sync"
 
 // Cache is the in-process result cache: completed cell payloads keyed
-// by the FNV-64a digest of (campaign config, cell label). A
+// by the FNV-64a digest of (campaign identity, cell label). A
 // re-submitted identical campaign is served from here without
 // re-simulating — each hit is recorded into the new job's ledger as
 // the exact payload bytes the original run journaled, so a cached job's
@@ -31,7 +31,7 @@ func NewCache() *Cache {
 }
 
 // Get returns the cached payload for the cell under the campaign
-// config, if present.
+// identity config, if present.
 func (c *Cache) Get(config, cell string) ([]byte, bool) {
 	k := config + "\x00" + cell
 	c.mu.Lock()

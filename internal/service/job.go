@@ -10,7 +10,6 @@ import (
 
 	"javasmt/internal/harness"
 	"javasmt/internal/resilience"
-	"javasmt/internal/simos"
 )
 
 // JobState is a job's lifecycle state. Running covers queued and
@@ -74,7 +73,6 @@ type Job struct {
 	id     string
 	dir    string
 	plan   *plan
-	config string
 	cells  []harness.CellSpec
 	cfg    harness.Config
 	ledger *resilience.Journal
@@ -103,29 +101,16 @@ type Job struct {
 // newJob builds a Job from a resolved plan and an open ledger.
 func newJob(id, dir string, p *plan, ledger *resilience.Journal, cache *Cache, disp *dispatcher) *Job {
 	jb := &Job{
-		id: id, dir: dir, plan: p, config: p.configString(),
-		cells: p.cells(), ledger: ledger, cache: cache, disp: disp,
+		id: id, dir: dir, plan: p,
+		cells: p.cells, ledger: ledger, cache: cache, disp: disp,
 		stop:    make(chan struct{}),
 		state:   StateRunning,
 		resumed: ledger.Resumed(),
 		doneCh:  make(chan struct{}),
 	}
-	jb.cfg = harness.Config{
-		Scale:     p.scale,
-		Jobs:      1,
-		Runs:      p.runs,
-		MaxCycles: harness.DefaultConfig().MaxCycles,
-		Policy: resilience.CellPolicy{
-			WallDeadline: p.cellDL,
-			CycleBudget:  p.spec.CycleBudget,
-			Retries:      p.spec.Retries,
-			Stop:         jb.stop,
-		},
-		Journal:     ledger,
-		Plan:        p.simPlan,
-		SchedPolicy: p.spec.SchedPolicy,
-		SchedParams: simos.Params{Timeslice: p.spec.Timeslice},
-	}
+	jb.cfg = p.cfg
+	jb.cfg.Policy.Stop = jb.stop
+	jb.cfg.Journal = ledger
 	if p.jobDL > 0 {
 		jb.timer = time.AfterFunc(p.jobDL, func() {
 			jb.cancel(fmt.Sprintf("job deadline %v exceeded", p.jobDL))
@@ -143,7 +128,7 @@ func (jb *Job) runOne(i int) {
 	}
 	spec := jb.cells[i]
 	if _, ok := jb.ledger.Lookup(spec.Label); !ok {
-		if payload, hit := jb.cache.Get(jb.config, spec.Label); hit {
+		if payload, hit := jb.cache.Get(jb.plan.identity, spec.Label); hit {
 			// Record the cached bytes into this job's ledger so the
 			// ledger stays the complete record of the job — identical
 			// to what simulating would have written.
@@ -164,7 +149,7 @@ func (jb *Job) runOne(i int) {
 		jb.finish(CellResult{Cell: spec.Label, Status: resilience.StatusFailed, Reason: out.Fail.Reason()})
 		return
 	}
-	jb.cache.Put(jb.config, spec.Label, out.Payload)
+	jb.cache.Put(jb.plan.identity, spec.Label, out.Payload)
 	jb.finish(CellResult{Cell: spec.Label, Status: resilience.StatusOK, Payload: out.Payload})
 }
 

@@ -105,14 +105,15 @@ func (s *Server) recover() error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
+		// Every job directory, recovered or not, is spent: new jobs
+		// number past all of them, so none reuses a directory.
+		if n := jobSeq(id); n > s.seq {
+			s.seq = n
+		}
 		if err := s.recoverJob(id); err != nil {
 			// A damaged job directory must not take the daemon down
 			// with it — log and keep recovering the rest.
 			s.logf("job %s: not recovered: %v", id, err)
-			continue
-		}
-		if n := jobSeq(id); n > s.seq {
-			s.seq = n
 		}
 	}
 	return nil
@@ -143,7 +144,6 @@ func (s *Server) recoverJob(id string) error {
 	if err != nil {
 		return err
 	}
-	meta := resilience.Meta{Tool: "javasmtd", Config: p.configString()}
 
 	var st persistedState
 	if data, err := os.ReadFile(filepath.Join(dir, stateFile)); err == nil {
@@ -158,7 +158,7 @@ func (s *Server) recoverJob(id string) error {
 	if _, err := os.Stat(filepath.Join(dir, "meta.json")); errors.Is(err, os.ErrNotExist) {
 		resume = false
 	}
-	ledger, err := resilience.Open(dir, meta, resume, s.ledgerOptions()...)
+	ledger, err := resilience.Open(dir, p.meta(), resume, s.ledgerOptions()...)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func (s *Server) recoverJob(id string) error {
 func (s *Server) seedCache(jb *Job) {
 	for _, c := range jb.cells {
 		if e, ok := jb.ledger.Lookup(c.Label); ok && e.Status == resilience.StatusOK {
-			s.cache.Put(jb.config, e.Cell, e.Payload)
+			s.cache.Put(jb.plan.identity, e.Cell, e.Payload)
 		}
 	}
 }
@@ -229,8 +229,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, &specError{err}
 	}
-	cells := p.cells()
-	if len(cells) == 0 {
+	if len(p.cells) == 0 {
 		return nil, &specError{fmt.Errorf("campaign has no cells")}
 	}
 
@@ -247,8 +246,10 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	id := fmt.Sprintf("j%04d", s.seq)
 	s.mu.Unlock()
 
+	// Mkdir, not MkdirAll: a job directory is never reused, so an
+	// existing one is an error rather than a campaign to overwrite.
 	dir := filepath.Join(s.jobsDir(), id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		return nil, err
 	}
 	specData, err := canonicalSpec(spec)
@@ -258,7 +259,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err := os.WriteFile(filepath.Join(dir, "spec.json"), specData, 0o644); err != nil {
 		return nil, err
 	}
-	ledger, err := resilience.Open(dir, resilience.Meta{Tool: "javasmtd", Config: p.configString()}, false, s.ledgerOptions()...)
+	ledger, err := resilience.Open(dir, p.meta(), false, s.ledgerOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +275,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.jobs[id] = jb
 	s.order = append(s.order, id)
 	s.mu.Unlock()
-	s.logf("job %s: admitted (%s, %d cells)", id, spec.Kind, len(cells))
+	s.logf("job %s: admitted (%s, %d cells)", id, spec.Kind, len(p.cells))
 	return jb, nil
 }
 

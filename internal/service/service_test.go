@@ -236,6 +236,48 @@ func TestRecoveryRestoresTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestRestartNeverReusesJobDir restarts a daemon whose highest-numbered
+// job fails recovery (its ledger names another campaign identity, as
+// every ledger written before an identity change does): the job stays
+// on disk untouched, and the next submission gets a fresh ID and
+// directory instead of overwriting it.
+func TestRestartNeverReusesJobDir(t *testing.T) {
+	dataDir := t.TempDir()
+	s1 := newTestServer(t, Config{DataDir: dataDir})
+	jb1, err := s1.Submit(smallSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, jb1)
+	s1.Drain()
+
+	metaPath := filepath.Join(jb1.dir, "meta.json")
+	if err := os.WriteFile(metaPath, []byte(`{"tool":"javasmtd","config":"an older campaign identity"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specPath := filepath.Join(jb1.dir, "spec.json")
+	oldSpec, err := os.ReadFile(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{DataDir: dataDir})
+	if _, ok := s2.Job(jb1.id); ok {
+		t.Fatal("job with a mismatched ledger identity was recovered")
+	}
+	next, err := s2.Submit(JobSpec{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1}})
+	if err != nil {
+		t.Fatalf("submit after a failed recovery: %v", err)
+	}
+	if next.id == jb1.id {
+		t.Fatalf("new job reused the unrecovered job's ID %s", jb1.id)
+	}
+	waitDone(t, next)
+	if got, _ := os.ReadFile(specPath); !bytes.Equal(got, oldSpec) {
+		t.Fatalf("unrecovered job's spec.json was overwritten:\n%s", got)
+	}
+}
+
 // TestAdmissionControl fills the job bound and checks the next
 // submission is refused with errBusy while the admitted job still
 // completes.

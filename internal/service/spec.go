@@ -17,13 +17,22 @@ import (
 	"javasmt/internal/cli"
 	"javasmt/internal/core"
 	"javasmt/internal/harness"
+	"javasmt/internal/resilience"
 	"javasmt/internal/sampling"
+	"javasmt/internal/simos"
 )
 
 // JobSpec is one submitted campaign: which experiment grid to run and
-// under what simulation and resilience configuration. The zero value
-// of every optional field selects the CLI tools' defaults, so a spec
-// naming only a kind runs the same campaign `report`/`sweep` would.
+// under what simulation and resilience configuration. A zero optional
+// field selects the daemon's default, which is not always the CLI
+// tools' default. Scale tiny, runs 6, full simulation, the naive
+// seating policy, the built-in scheduler tuning and pairings over the
+// nine single-threaded programs match the CLIs. But a kind-only fig12
+// spec sweeps threads {1,2,4,8} (report's Figure 12 adds 16), and a
+// kind-only sweep spec runs every benchmark at threads {1,2} (the
+// sweep tool runs the multithreaded ones at {1,2,4,8,16}). A spec that
+// spells out the CLI's axes runs the CLI's campaign under the same
+// harness.Identity, cell for cell.
 type JobSpec struct {
 	// Kind selects the campaign type: characterization, pairings,
 	// fig10, fig12, sweep, geometry or policy.
@@ -66,25 +75,28 @@ type JobSpec struct {
 // specKinds lists the accepted Kind values.
 var specKinds = []string{"characterization", "pairings", "fig10", "fig12", "sweep", "geometry", "policy"}
 
-// plan is the resolved, validated form of a JobSpec: everything a job
-// needs to enumerate cells and build its harness configuration.
+// plan is the resolved, validated form of a JobSpec: the campaign's
+// axes, its enumerated cells, the harness configuration they run under
+// and the campaign identity of the two.
 type plan struct {
 	spec       JobSpec
-	scale      bench.Scale
-	runs       int
 	benchmarks []*bench.Benchmark
 	threads    []int
 	geos       []core.Geometry
 	policies   []string
 	mixes      []harness.Mix
-	simPlan    sampling.Plan
-	cellDL     time.Duration
 	jobDL      time.Duration
+	// cfg is the configuration every cell of the job runs under, less
+	// the ledger and stop channel newJob adds.
+	cfg      harness.Config
+	cells    []harness.CellSpec
+	identity string
 }
 
-// resolve validates the spec and fills in defaults.
+// resolve validates the spec, fills in defaults and enumerates the
+// campaign's cells.
 func resolve(spec JobSpec) (*plan, error) {
-	p := &plan{spec: spec, runs: spec.Runs}
+	p := &plan{spec: spec, cfg: harness.DefaultConfig()}
 	ok := false
 	for _, k := range specKinds {
 		if spec.Kind == k {
@@ -103,11 +115,11 @@ func resolve(spec JobSpec) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.scale = scale
-	if p.runs == 0 {
-		p.runs = harness.DefaultConfig().Runs
+	p.cfg.Scale = scale
+	if spec.Runs != 0 {
+		p.cfg.Runs = spec.Runs
 	}
-	if p.runs < 1 {
+	if p.cfg.Runs < 1 {
 		return nil, fmt.Errorf("runs %d must be positive", spec.Runs)
 	}
 	if spec.Retries < 0 {
@@ -141,19 +153,23 @@ func resolve(spec JobSpec) (*plan, error) {
 		p.mixes = append(p.mixes, harness.ServerMix(n))
 	}
 
-	p.simPlan = sampling.FullPlan()
+	p.cfg.Plan = sampling.FullPlan()
 	switch spec.SimMode {
 	case "", "full":
 	case "sampled":
-		p.simPlan = sampling.DefaultSampledPlan()
+		p.cfg.Plan = sampling.DefaultSampledPlan()
 	default:
 		return nil, fmt.Errorf("unknown sim_mode %q (want full|sampled)", spec.SimMode)
 	}
+	var cellDL time.Duration
 	if spec.CellDeadline != "" {
-		if p.cellDL, err = time.ParseDuration(spec.CellDeadline); err != nil || p.cellDL < 0 {
+		if cellDL, err = time.ParseDuration(spec.CellDeadline); err != nil || cellDL < 0 {
 			return nil, fmt.Errorf("bad cell_deadline %q", spec.CellDeadline)
 		}
 	}
+	p.cfg.Policy = resilience.CellPolicy{WallDeadline: cellDL, CycleBudget: spec.CycleBudget, Retries: spec.Retries}
+	p.cfg.SchedPolicy = spec.SchedPolicy
+	p.cfg.SchedParams = simos.Params{Timeslice: spec.Timeslice}
 	if spec.JobDeadline != "" {
 		if p.jobDL, err = time.ParseDuration(spec.JobDeadline); err != nil || p.jobDL <= 0 {
 			return nil, fmt.Errorf("bad job_deadline %q", spec.JobDeadline)
@@ -189,13 +205,15 @@ func resolve(spec JobSpec) (*plan, error) {
 			return nil, fmt.Errorf("kind policy needs policies, mixes and geometries")
 		}
 	}
+	p.cells = p.enumerate()
+	p.identity = harness.Identity(p.cfg, harness.Labels(p.cells))
 	return p, nil
 }
 
-// cells enumerates the campaign's cell specs through the harness's
+// enumerate lists the campaign's cell specs through the harness's
 // shared enumerators — the same cells, same labels, same payloads a
 // one-shot CLI campaign of this spec produces.
-func (p *plan) cells() []harness.CellSpec {
+func (p *plan) enumerate() []harness.CellSpec {
 	switch p.spec.Kind {
 	case "characterization":
 		return harness.CharacterizationCellSpecs()
@@ -215,57 +233,14 @@ func (p *plan) cells() []harness.CellSpec {
 	return nil
 }
 
-// configString is the canonical simulation-relevant configuration of
-// the campaign: it becomes the ledger's Meta.Config (so a restarted
-// daemon refuses to resume a job whose spec file was tampered into a
-// different campaign) and, joined with a cell label, the result-cache
-// digest. Execution-only knobs — deadlines, retries, the job deadline —
-// are deliberately absent: they shape how cells run, not what a
-// completed cell's bytes are.
-func (p *plan) configString() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "kind=%s scale=%v", p.spec.Kind, p.scale)
-	if len(p.benchmarks) > 0 {
-		names := make([]string, len(p.benchmarks))
-		for i, b := range p.benchmarks {
-			names[i] = b.Name
-		}
-		fmt.Fprintf(&sb, " benches=%s", strings.Join(names, ","))
-	}
-	if len(p.threads) > 0 {
-		fmt.Fprintf(&sb, " threads=%v", p.threads)
-	}
-	if len(p.geos) > 0 {
-		geos := make([]string, len(p.geos))
-		for i, g := range p.geos {
-			geos[i] = fmt.Sprintf("%v", g)
-		}
-		fmt.Fprintf(&sb, " geos=%s", strings.Join(geos, ","))
-	}
-	if len(p.policies) > 0 {
-		fmt.Fprintf(&sb, " policies=%s", strings.Join(p.policies, ","))
-	}
-	if len(p.mixes) > 0 {
-		fmt.Fprintf(&sb, " mixes=%v", p.spec.Mixes)
-	}
-	if p.spec.Kind == "pairings" {
-		fmt.Fprintf(&sb, " runs=%d", p.runs)
-	}
-	if p.spec.CycleBudget > 0 {
-		fmt.Fprintf(&sb, " cycle-budget=%d", p.spec.CycleBudget)
-	}
-	sb.WriteString(p.simPlan.Tag())
-	if p.spec.SchedPolicy != "" {
-		sb.WriteString(" policy=" + p.spec.SchedPolicy)
-	}
-	if p.spec.Timeslice != 0 {
-		fmt.Fprintf(&sb, " timeslice=%d", p.spec.Timeslice)
-	}
-	return sb.String()
+// meta is the ledger identity of the job: a restarted daemon refuses
+// to resume a ledger written under another campaign identity.
+func (p *plan) meta() resilience.Meta {
+	return resilience.Meta{Tool: "javasmtd", Config: p.identity}
 }
 
-// cellDigest is the result-cache key of one cell under one campaign
-// configuration: FNV-64a over (configString, cell label).
+// cellDigest is the result-cache key of one cell under one campaign:
+// FNV-64a over (campaign identity, cell label).
 func cellDigest(config, cell string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(config))

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"flag"
 	"strings"
 	"testing"
+
+	"javasmt/internal/bench"
+	"javasmt/internal/cli"
+	"javasmt/internal/harness"
 )
 
 func TestResolveRejectsBadSpecs(t *testing.T) {
@@ -45,7 +50,7 @@ func TestResolveDefaults(t *testing.T) {
 	if len(p.threads) != 2 {
 		t.Fatalf("sweep threads defaulted to %v", p.threads)
 	}
-	if len(p.cells()) == 0 {
+	if len(p.cells) == 0 {
 		t.Fatal("default sweep enumerated no cells")
 	}
 
@@ -58,7 +63,7 @@ func TestResolveDefaults(t *testing.T) {
 	}
 }
 
-func TestConfigStringCanonical(t *testing.T) {
+func TestIdentityCanonical(t *testing.T) {
 	spec := JobSpec{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1}}
 	p1, err := resolve(spec)
 	if err != nil {
@@ -68,20 +73,59 @@ func TestConfigStringCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.configString() != p2.configString() {
-		t.Fatalf("configString not deterministic: %q vs %q", p1.configString(), p2.configString())
+	if p1.identity != p2.identity {
+		t.Fatalf("identity not deterministic: %q vs %q", p1.identity, p2.identity)
 	}
 
-	// Simulation-relevant knobs must change the string...
-	other, _ := resolve(JobSpec{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{2}})
-	if other.configString() == p1.configString() {
-		t.Fatal("different thread axis, same configString")
+	// Simulation-relevant knobs must change the identity...
+	for _, other := range []JobSpec{
+		{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{2}},
+		{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1}, SimMode: "sampled"},
+		{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1}, SchedPolicy: "symbiotic-ipc"},
+		{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1}, Timeslice: 5000},
+		{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1}, Scale: "small"},
+	} {
+		q, err := resolve(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.identity == p1.identity {
+			t.Errorf("%+v shares the identity of %+v", other, spec)
+		}
 	}
 	// ...execution-only knobs must not: the same cells produce the same
-	// bytes whatever the deadline, so they share cache entries.
+	// bytes whatever the deadline or budget, so they share cache entries.
 	timed, _ := resolve(JobSpec{Kind: "sweep", Benchmarks: []string{"compress"}, Threads: []int{1},
-		CellDeadline: "30s", Retries: 2, JobDeadline: "5m"})
-	if timed.configString() != p1.configString() {
-		t.Fatalf("deadlines leaked into configString:\n%q\n%q", timed.configString(), p1.configString())
+		CellDeadline: "30s", Retries: 2, JobDeadline: "5m", CycleBudget: 1 << 40})
+	if timed.identity != p1.identity {
+		t.Fatalf("execution knobs leaked into the identity:\n%q\n%q", timed.identity, p1.identity)
+	}
+}
+
+// TestIdentityMatchesSweepCLI pins that the daemon and the sweep tool
+// name one campaign identically: `sweep -bench MolDyn -threads 1,2,4,8
+// -scale small` journals under the identity the daemon gives the same
+// campaign's JobSpec (scripts/service_smoke.sh checks the same on the
+// real binaries' meta.json files).
+func TestIdentityMatchesSweepCLI(t *testing.T) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	cf := cli.Register("sweep", fs, cli.Options{Jobs: true})
+	if err := fs.Parse([]string{"-scale", "small"}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cf.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moldyn, _ := bench.ByName("MolDyn")
+	threads := []int{1, 2, 4, 8}
+	cliID := harness.Identity(c.Config, harness.Labels(harness.SweepCellSpecs([]*bench.Benchmark{moldyn}, threads)))
+
+	p, err := resolve(JobSpec{Kind: "sweep", Benchmarks: []string{"MolDyn"}, Threads: threads, Scale: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.identity != cliID {
+		t.Fatalf("daemon identity %q != sweep identity %q", p.identity, cliID)
 	}
 }

@@ -228,8 +228,7 @@ func (c *cpuState) deschedule(t *Thread, now uint64) {
 
 // Options configures a kernel: scheduler tuning plus the seating policy.
 // It is the single constructor-surface for every layer above (the
-// harness's newKernel derives one from its own Options); direct Params
-// plumbing via NewKernel is deprecated.
+// harness's newKernel derives one from its own Options).
 type Options struct {
 	// Params tunes the timeslicer. Zero fields take their DefaultParams
 	// values, so a partial override (say, only Timeslice) keeps the rest
@@ -241,11 +240,10 @@ type Options struct {
 	Policy Policy
 }
 
-// New builds a kernel driving cpu under opts and wires its feeds into
-// every hardware context.
-func New(cpu *core.CPU, opts Options) *Kernel {
+// WithDefaults returns p with every zero field replaced by its
+// DefaultParams value: the tuning a kernel built by New runs under.
+func (p Params) WithDefaults() Params {
 	def := DefaultParams()
-	p := opts.Params
 	if p.Timeslice == 0 {
 		p.Timeslice = def.Timeslice
 	}
@@ -258,22 +256,14 @@ func New(cpu *core.CPU, opts Options) *Kernel {
 	if p.MigrationUops == 0 {
 		p.MigrationUops = def.MigrationUops
 	}
-	return newKernel(cpu, p, opts.Policy)
+	return p
 }
 
-// NewKernel builds a kernel with params used verbatim (no zero-field
-// defaulting) and the seed FIFO timeslicer.
-//
-// Deprecated: use New, which takes Options and supports seating
-// policies. NewKernel remains for existing callers and tests that tune
-// raw Params.
-func NewKernel(cpu *core.CPU, params Params) *Kernel {
-	return newKernel(cpu, params, nil)
-}
-
-func newKernel(cpu *core.CPU, params Params, pol Policy) *Kernel {
+// New builds a kernel driving cpu under opts and wires its feeds into
+// every hardware context.
+func New(cpu *core.CPU, opts Options) *Kernel {
 	geo := cpu.Config().Geo()
-	k := &Kernel{cpu: cpu, file: cpu.CountersFile(), geo: geo, params: params, policy: pol}
+	k := &Kernel{cpu: cpu, file: cpu.CountersFile(), geo: geo, params: opts.Params.WithDefaults(), policy: opts.Policy}
 	k.view.k = k
 	for i := 0; i < geo.Total(); i++ {
 		cs := &cpuState{k: k, seat: geo.SeatOf(i), idx: i, lastProc: -1}

@@ -8,7 +8,8 @@
 #      the daemon mid-campaign.
 #   3. Restart the daemon over the same data directory, wait for the
 #      resumed job to finish, and require its ledger to be
-#      byte-identical (as a line set) to the reference journal.
+#      byte-identical (as a line set) to the reference journal, and its
+#      meta.json to carry the reference's campaign identity.
 #   4. Re-submit the identical campaign and require every cell to be
 #      served from the digest cache.
 #   5. Drain the daemon with SIGTERM and check its clean shutdown.
@@ -98,6 +99,13 @@ sort "$tmp/ref/journal.jsonl" > "$tmp/ref.sorted"
 sort "$tmp/svc/jobs/j0001/journal.jsonl" > "$tmp/job.sorted"
 diff -u "$tmp/ref.sorted" "$tmp/job.sorted"
 echo "   resumed ledger is byte-identical to the single-process reference"
+meta_config() {
+	python3 -c 'import sys,json; print(json.load(open(sys.argv[1]))["config"])' "$1"
+}
+meta_config "$tmp/ref/meta.json" > "$tmp/ref.config"
+meta_config "$tmp/svc/jobs/j0001/meta.json" > "$tmp/job.config"
+diff -u "$tmp/ref.config" "$tmp/job.config"
+echo "   daemon and sweep journal under the same campaign identity"
 
 echo "-- identical resubmission is served from the digest cache"
 id=$(curl -sf -X POST "http://$addr/jobs" -H 'Content-Type: application/json' \
